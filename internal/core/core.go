@@ -7,7 +7,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/query"
 )
@@ -111,16 +112,10 @@ func MergeGroupEstimates(parts ...[]GroupEstimate) []GroupEstimate {
 // lexicographically by values, the deterministic order every Estimator
 // returns.
 func SortGroupEstimates(groups []GroupEstimate) {
-	sort.Slice(groups, func(i, j int) bool {
-		if groups[i].Estimate != groups[j].Estimate {
-			return groups[i].Estimate > groups[j].Estimate
+	slices.SortFunc(groups, func(a, b GroupEstimate) int {
+		if a.Estimate != b.Estimate {
+			return cmp.Compare(b.Estimate, a.Estimate)
 		}
-		a, b := groups[i].Values, groups[j].Values
-		for k := range a {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return false
+		return slices.Compare(a.Values, b.Values)
 	})
 }

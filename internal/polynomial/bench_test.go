@@ -126,6 +126,49 @@ func BenchmarkSystemEvalMaskedFullWalk(b *testing.B) {
 	}
 }
 
+// BenchmarkSystemEvalPerValue measures the one-pass per-value evaluation
+// behind group-by: every value of attribute 0 (64 values) under each
+// selective predicate shape (1attrHot constrains attribute 0 itself). The
+// EvalLoop twin answers the same values with one masked Eval each, the way
+// group-by did before, so the ratio between the two is the one-pass win.
+func BenchmarkSystemEvalPerValue(b *testing.B) {
+	sys, _ := benchSystem(b)
+	sys.Eval(nil)
+	preds := selectivePreds(sys.Poly().NumAttrs())
+	out := make([]float64, sys.Poly().DomainSizes()[0])
+	for _, name := range selectiveOrder {
+		pred := preds[name]
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sys.EvalPerValue(0, pred, out)
+			}
+		})
+	}
+}
+
+func BenchmarkSystemEvalPerValueEvalLoop(b *testing.B) {
+	sys, _ := benchSystem(b)
+	sys.Eval(nil)
+	preds := selectivePreds(sys.Poly().NumAttrs())
+	out := make([]float64, sys.Poly().DomainSizes()[0])
+	for _, name := range selectiveOrder {
+		cons := preds[name].Constraint(0)
+		q := preds[name].Clone()
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for v := range out {
+					out[v] = 0
+					if cons.Matches(v) {
+						out[v] = sys.Eval(q.WhereEq(0, v))
+					}
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkSystemDerivMultiMasked measures the pruned masked statistic
 // derivative (the conditioned-refresh shape).
 func BenchmarkSystemDerivMultiMasked(b *testing.B) {

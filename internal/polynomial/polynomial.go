@@ -111,6 +111,12 @@ type term struct {
 	stats  []int         // sorted multi-statistic indexes in S
 }
 
+// rangeOn returns the term's effective range on attribute a, which must be
+// in the term's attribute set.
+func (t *term) rangeOn(a int) query.Range {
+	return t.ranges[sort.SearchInts(t.attrs, a)]
+}
+
 func (t term) key() string {
 	parts := make([]string, len(t.stats))
 	for i, s := range t.stats {

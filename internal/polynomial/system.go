@@ -612,20 +612,8 @@ func (s *System) evalPruned(sc *evalScratch) (float64, bool) {
 	if touched := p.touchedCount(sc.attrs, sc.termBits); touched*(len(sc.attrs)+2) >= len(p.terms)*len(s.alpha) {
 		return 0, false
 	}
-	scale := 1.0
-	var sMask uint64
-	for _, a := range sc.attrs {
-		full := fullRange(len(s.alpha[a]))
-		f := s.rangeSum(a, full)
-		if f == 0 {
-			return 0, false
-		}
-		m := s.maskedSumSC(sc, a, full)
-		sc.maskedF[a] = m
-		scale *= m / f
-		sMask |= 1 << uint(a)
-	}
-	if !isFinite(scale) {
+	scale, sMask, ok := s.maskScale(sc, -1)
+	if !ok {
 		return 0, false
 	}
 	total := scale * s.total
@@ -672,6 +660,30 @@ func (s *System) evalPruned(sc *evalScratch) (float64, bool) {
 		}
 	}
 	return total, true
+}
+
+// maskScale sets sc.maskedF[a] to the masked full-domain sum M_a of every
+// constrained attribute a except skip (-1 for none) and returns the
+// rescale Π M_a/F_a over them together with their bitmask. ok is false
+// when some unmasked full-domain sum F_a is 0 or the rescale is not
+// finite; the pruned paths then fall back to the full walk.
+func (s *System) maskScale(sc *evalScratch, skip int) (scale float64, sMask uint64, ok bool) {
+	scale = 1
+	for _, a := range sc.attrs {
+		if a == skip {
+			continue
+		}
+		full := fullRange(len(s.alpha[a]))
+		f := s.rangeSum(a, full)
+		if f == 0 {
+			return 0, 0, false
+		}
+		m := s.maskedSumSC(sc, a, full)
+		sc.maskedF[a] = m
+		scale *= m / f
+		sMask |= 1 << uint(a)
+	}
+	return scale, sMask, isFinite(scale)
 }
 
 // setIntersects reports whether the ascending value list has an element in
@@ -871,23 +883,8 @@ func (s *System) derivOneDPruned(attr, value int, sc *evalScratch) (float64, boo
 	if len(sc.attrs) == 0 {
 		return s.derivOneDCached(attr, value), true
 	}
-	scaleExcl := 1.0
-	var sMask uint64
-	for _, a := range sc.attrs {
-		if a == attr {
-			continue
-		}
-		full := fullRange(len(s.alpha[a]))
-		f := s.rangeSum(a, full)
-		if f == 0 {
-			return 0, false
-		}
-		m := s.maskedSumSC(sc, a, full)
-		sc.maskedF[a] = m
-		scaleExcl *= m / f
-		sMask |= 1 << uint(a)
-	}
-	if !isFinite(scaleExcl) {
+	scaleExcl, sMask, ok := s.maskScale(sc, attr)
+	if !ok {
 		return 0, false
 	}
 	total := 0.0
@@ -936,20 +933,8 @@ func (s *System) derivMultiPruned(stat int, sc *evalScratch) (float64, bool) {
 	if len(sc.attrs) == 0 {
 		return s.derivMultiCached(stat), true
 	}
-	scale := 1.0
-	var sMask uint64
-	for _, a := range sc.attrs {
-		full := fullRange(len(s.alpha[a]))
-		f := s.rangeSum(a, full)
-		if f == 0 {
-			return 0, false
-		}
-		m := s.maskedSumSC(sc, a, full)
-		sc.maskedF[a] = m
-		scale *= m / f
-		sMask |= 1 << uint(a)
-	}
-	if !isFinite(scale) {
+	scale, sMask, ok := s.maskScale(sc, -1)
+	if !ok {
 		return 0, false
 	}
 	d := s.delta[stat] - 1
@@ -1062,14 +1047,212 @@ func (s *System) derivMulti(stat int, cons []query.Constraint) float64 {
 	return total
 }
 
-// Expectation returns E[⟨c,I⟩] = n · x · ∂P/∂x / P for the statistic whose
-// variable is ref (Eq. (8)), given the relation cardinality n and the
-// current full polynomial value p (p must equal Eval(nil)).
-func (s *System) Expectation(ref VarRef, n, p float64) float64 {
-	if p == 0 {
-		return 0
+// EvalPerValue fills out[v] with Eval(pred ∧ attr=v) for every value v of
+// attr, where pred ∧ attr=v replaces pred's constraint on attr by the point
+// v, and values that pred's constraint on attr rejects get exactly 0. out
+// must have one slot per domain value of attr.
+//
+// P is multilinear in attr's α variables, so the masked value with attr=v
+// is α_{attr,v}·∂P_π/∂α_{attr,v} — the x·∂P/∂x identity of Eq. (8). One
+// pass over the terms computes each term's masked product except its attr
+// factor: terms that leave attr unconstrained add it to every value (the
+// loose sum L), the others add it to every value of their span ρ_attr.
+// Then out[v] = α_{attr,v}·(span_v + L). Nothing is derived by subtracting
+// from a total, so a group is exactly 0 whenever α_{attr,v} = 0 or every
+// term covering v has a zero masked factor, as in Eval.
+//
+// Like Eval, it is allocation-free and safe for concurrent read-only use.
+func (s *System) EvalPerValue(attr int, pred *query.Predicate, out []float64) {
+	if len(out) != len(s.alpha[attr]) {
+		panic(fmt.Sprintf("polynomial: EvalPerValue needs %d slots for attribute %d, got %d",
+			len(s.alpha[attr]), attr, len(out)))
 	}
-	return n * s.Get(ref) * s.Deriv(ref, nil) / p
+	s.refreshAll()
+	sc := s.getScratch(pred)
+	defer s.putScratch(sc)
+	s.perValue(attr, sc, out, false)
+}
+
+// perValue runs EvalPerValue over a filled scratch: the pruned term pass,
+// or the full walk when the pruned pass cannot run or fullWalk is set (the
+// equivalence tests' oracle).
+func (s *System) perValue(attr int, sc *evalScratch, out []float64, fullWalk bool) {
+	clear(out)
+	admit := admittedSpan(sc.cons[attr], len(out))
+	if admit.Empty() {
+		return
+	}
+	loose, ok := 0.0, false
+	if !fullWalk {
+		loose, ok = s.perValuePruned(attr, admit, sc, out)
+	}
+	if !ok {
+		loose = s.perValueFullWalk(attr, admit, sc.cons, out)
+	}
+	col := s.alpha[attr]
+	c := sc.cons[attr]
+	for v := range out {
+		if c.Matches(v) {
+			out[v] = col[v] * (out[v] + loose)
+		} else {
+			out[v] = 0
+		}
+	}
+}
+
+// admittedSpan returns the smallest value range of an n-value domain that
+// holds every value the (canonical) constraint admits.
+func admittedSpan(c query.Constraint, n int) query.Range {
+	full := fullRange(n)
+	switch c.Kind {
+	case query.InRange:
+		return full.Intersect(c.Range)
+	case query.InSet:
+		if len(c.Values) == 0 {
+			return query.Range{Lo: 0, Hi: -1}
+		}
+		return query.Range{Lo: c.Values[0], Hi: c.Values[len(c.Values)-1]}
+	default:
+		return full
+	}
+}
+
+// perValuePruned is the EvalPerValue term pass over the cached factors. It
+// adds every term's masked product except its attr factor into out over the
+// term's span on attr clipped to admit, or into the returned loose sum L
+// when the term leaves attr unconstrained. With S' the constrained
+// attributes other than attr, a term disjoint from S' is its cached
+// product rescaled by Π_{a∈S'} M_a/F_a, read off attr's posting lists; the
+// terms of touched(S') are visited once through the union of the S'
+// posting lists, where interval pruning skips every term whose range
+// provably misses a mask (its masked product is exactly 0) and the rest
+// swap factors term-locally, as in derivOneDPruned. The second return
+// reports applicability, as in evalPruned.
+func (s *System) perValuePruned(attr int, admit query.Range, sc *evalScratch, out []float64) (float64, bool) {
+	p := s.poly
+	if p.attrBits == nil || !isFinite(s.total) {
+		return 0, false
+	}
+	scaleExcl, sMask, ok := s.maskScale(sc, attr)
+	if !ok {
+		return 0, false
+	}
+	bits := p.attrBits
+	loose := 0.0
+	for _, ti := range p.loose[attr] {
+		if i := int(ti); bits[i]&sMask == 0 {
+			loose += scaleExcl * s.exceptFactor(i, s.fac[i][attr])
+		}
+	}
+	conR := p.conRanges[attr]
+	for idx, ti := range p.constrained[attr] {
+		i := int(ti)
+		if bits[i]&sMask != 0 {
+			continue
+		}
+		if r := conR[idx].Intersect(admit); !r.Empty() {
+			if w := scaleExcl * s.exceptFactor(i, s.fac[i][attr]); w != 0 {
+				addSpan(out, r, w)
+			}
+		}
+	}
+	attrBit := uint64(1) << uint(attr)
+	for _, b := range sc.attrs {
+		if b == attr {
+			continue
+		}
+		below := uint64(1)<<uint(b) - 1
+		consB, conB := sc.cons[b], p.conRanges[b]
+		for idx, ti := range p.constrained[b] {
+			i := int(ti)
+			if bits[i]&sMask&below != 0 || maskMisses(consB, conB[idx]) {
+				// Visited at a lower attribute of S', or masked to 0 on b.
+				continue
+			}
+			var r query.Range
+			if bits[i]&attrBit != 0 {
+				if r = p.terms[i].rangeOn(attr).Intersect(admit); r.Empty() {
+					continue
+				}
+			}
+			w := s.maskedExceptAttr(i, attr, sc, sMask, scaleExcl)
+			switch {
+			case w == 0:
+			case bits[i]&attrBit != 0:
+				addSpan(out, r, w)
+			default:
+				loose += w
+			}
+		}
+	}
+	return loose, true
+}
+
+// maskMisses reports whether a term whose effective range on an attribute
+// is r provably has a masked factor of exactly 0 there under the
+// attribute's (canonical) constraint c.
+func maskMisses(c query.Constraint, r query.Range) bool {
+	switch c.Kind {
+	case query.InRange:
+		return !r.Overlaps(c.Range)
+	case query.InSet:
+		return !setIntersects(c.Values, r)
+	default:
+		return false
+	}
+}
+
+// addSpan adds w to out[v] for every v in the non-empty in-domain range r.
+func addSpan(out []float64, r query.Range, w float64) {
+	for v := r.Lo; v <= r.Hi; v++ {
+		out[v] += w
+	}
+}
+
+// perValueFullWalk is the full-walk EvalPerValue term pass — the fallback for
+// the shapes perValuePruned cannot cover and the reference the equivalence
+// tests compare against. Every term re-derives its masked product except the
+// attr factor, as derivOneD does for a single value, and is added into out
+// over its span clipped to admit, or into the returned loose sum L when it
+// leaves attr unconstrained.
+func (s *System) perValueFullWalk(attr int, admit query.Range, cons []query.Constraint, out []float64) float64 {
+	loose := 0.0
+	for _, t := range s.poly.terms {
+		prod := 1.0
+		span, constrained := admit, false
+		k := 0
+		for a := range s.alpha {
+			r, own := fullRange(len(s.alpha[a])), false
+			if k < len(t.attrs) && t.attrs[k] == a {
+				r, own = t.ranges[k], true
+				k++
+			}
+			if a == attr {
+				if own {
+					span, constrained = r.Intersect(admit), true
+				}
+				continue
+			}
+			f := s.maskedSum(a, r, cons[a])
+			if f == 0 {
+				prod = 0
+				break
+			}
+			prod *= f
+		}
+		if prod == 0 || span.Empty() {
+			continue
+		}
+		for _, j := range t.stats {
+			prod *= s.delta[j] - 1
+		}
+		if constrained {
+			addSpan(out, span, prod)
+		} else {
+			loose += prod
+		}
+	}
+	return loose
 }
 
 // TupleWeight returns the monomial value of a single encoded tuple under the

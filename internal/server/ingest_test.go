@@ -12,6 +12,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/exact"
 	"repro/internal/experiment"
@@ -227,6 +228,38 @@ func TestIngestValidation(t *testing.T) {
 	getResp.Body.Close()
 	if getResp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET: status %d, want 405", getResp.StatusCode)
+	}
+}
+
+// TestIngestOutlivesRequestTimeout is the regression test for ingests that
+// were reported as timed out although their rows had landed: with a 1ms
+// request timeout, an ingest whose threshold-triggered refresh takes far
+// longer must still answer 200 with the rows counted, never 504.
+func TestIngestOutlivesRequestTimeout(t *testing.T) {
+	reg := server.NewRegistry()
+	mut := relation.NewMutable(experiment.SyntheticRelation(20000, rand.New(rand.NewSource(1))))
+	live, _, err := server.BuildLiveDataset(reg, "demo", mut, server.LiveOptions{
+		Dataset:     server.DatasetOptions{Summary: summary.Options{Solver: solver.Options{MaxSweeps: 300}}},
+		RefreshRows: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := server.New(reg, server.Options{Timeout: time.Millisecond})
+	srv.AttachLive(live)
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+
+	resp, body := postJSON(t, ts.URL+"/ingest/demo", server.IngestRequest{Rows: syntheticRows(5000, 3)})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("ingest: status %d (%s), want 200; total rows now %d", resp.StatusCode, body, mut.NumRows())
+	}
+	var res server.IngestResult
+	if err := json.Unmarshal(body, &res); err != nil {
+		t.Fatal(err)
+	}
+	if res.Accepted != 5000 || res.TotalRows != 25000 || !res.Refreshed {
+		t.Fatalf("ingest result %+v: want 5000 accepted, 25000 total rows, refreshed", res)
 	}
 }
 

@@ -527,24 +527,29 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// Only admission runs under the deadline. Once Ingest starts, its rows
+	// may land at any moment, so the handler waits for it and reports what
+	// it did: a timeout after the append would tell the client the rows
+	// were lost, and a retry would ingest them twice.
 	ctx, cancel := context.WithTimeout(r.Context(), s.opts.Timeout)
 	defer cancel()
-	v, herr := s.execute(ctx, func() (interface{}, error) {
-		return live.Ingest(rows)
-	})
-	if herr != nil {
-		status := herr.status
-		if status == http.StatusUnprocessableEntity {
-			// An Ingest error always means nothing was appended (validation
-			// failed) — the client's fault, not the server's; refresh
-			// problems after a successful append arrive in refresh_error on
-			// a 200 instead, so clients never retry rows that landed.
-			status = http.StatusBadRequest
-		}
-		fail(status, herr.msg)
+	if herr := s.admit(ctx); herr != nil {
+		fail(herr.status, herr.msg)
 		return
 	}
-	writeJSON(w, http.StatusOK, v.(IngestResult))
+	res, err := func() (IngestResult, error) {
+		defer func() { <-s.sem }()
+		return live.Ingest(rows)
+	}()
+	if err != nil {
+		// An Ingest error always means nothing was appended (validation
+		// failed) — the client's fault, not the server's; refresh problems
+		// after a successful append arrive in refresh_error on a 200
+		// instead, so clients never retry rows that landed.
+		fail(http.StatusBadRequest, err.Error())
+		return
+	}
+	writeJSON(w, http.StatusOK, res)
 }
 
 func (s *Server) estimatorInfos() []EstimatorInfo {
@@ -716,15 +721,30 @@ func queryKey(ent Entry, kind string, pred *query.Predicate, groupBy []int) (str
 	return b.String(), nil
 }
 
+// admit takes a worker slot, queueing for one under ctx; the caller must
+// release it with <-s.sem. A free slot is taken even when ctx has already
+// expired, so the 503 means only that the pool stayed saturated.
+func (s *Server) admit(ctx context.Context) *httpError {
+	select {
+	case s.sem <- struct{}{}:
+		return nil
+	default:
+	}
+	select {
+	case s.sem <- struct{}{}:
+		return nil
+	case <-ctx.Done():
+		return &httpError{status: http.StatusServiceUnavailable, msg: "server saturated: timed out waiting for a worker slot"}
+	}
+}
+
 // execute runs fn on the bounded worker pool under ctx: it queues for a
 // slot, then runs fn in a goroutine so a timeout can abandon (not cancel)
 // a straggling evaluation without unbounding the pool — the slot is only
 // released once fn actually returns.
 func (s *Server) execute(ctx context.Context, fn func() (interface{}, error)) (interface{}, *httpError) {
-	select {
-	case s.sem <- struct{}{}:
-	case <-ctx.Done():
-		return nil, &httpError{status: http.StatusServiceUnavailable, msg: "server saturated: timed out waiting for a worker slot"}
+	if herr := s.admit(ctx); herr != nil {
+		return nil, herr
 	}
 	type result struct {
 		v   interface{}

@@ -231,12 +231,13 @@ func (s *Summary) EstimateCount(pred *query.Predicate) (float64, error) {
 }
 
 // EstimateGroupBy estimates COUNT(*) per combination of values of the
-// grouping attributes among tuples satisfying pred, by enumerating the
-// cross product of the grouping domains and answering one masked
-// evaluation per combination. Unlike the scan-based estimators, the model
-// has no notion of "observed" groups, so every combination with a
-// positive estimate is returned — including the phantom groups the
-// paper's rare-value experiment measures.
+// grouping attributes among tuples satisfying pred. The grouped attribute
+// with the largest domain is answered per value: for each combination of
+// the other grouped attributes, one polynomial.System.EvalPerValue pass
+// yields the masked evaluation of every one of its values at once. Unlike
+// the scan-based estimators, the model has no notion of "observed"
+// groups, so every combination with a positive estimate is returned —
+// including the phantom groups the paper's rare-value experiment measures.
 func (s *Summary) EstimateGroupBy(groupAttrs []int, pred *query.Predicate) ([]core.GroupEstimate, error) {
 	if len(groupAttrs) == 0 || len(groupAttrs) > 4 {
 		return nil, fmt.Errorf("summary: group-by needs 1..4 attributes, got %d", len(groupAttrs))
@@ -245,58 +246,87 @@ func (s *Summary) EstimateGroupBy(groupAttrs []int, pred *query.Predicate) ([]co
 		return nil, fmt.Errorf("summary: predicate over %d attributes, schema has %d", pred.NumAttrs(), s.sch.NumAttrs())
 	}
 	combos := 1
-	for _, a := range groupAttrs {
+	wide := 0 // position in groupAttrs of the per-value attribute
+	for i, a := range groupAttrs {
 		if a < 0 || a >= s.sch.NumAttrs() {
 			return nil, fmt.Errorf("summary: group-by attribute %d out of range [0,%d)", a, s.sch.NumAttrs())
+		}
+		for _, prev := range groupAttrs[:i] {
+			if prev == a {
+				return nil, fmt.Errorf("summary: duplicate group-by attribute %d", a)
+			}
 		}
 		combos *= s.sch.Attr(a).Size()
 		if combos > s.maxCombos {
 			return nil, fmt.Errorf("summary: group-by space exceeds %d combinations", s.maxCombos)
 		}
+		if s.sch.Attr(a).Size() > s.sch.Attr(groupAttrs[wide]).Size() {
+			wide = i
+		}
 	}
-	base := pred
-	if base == nil {
-		base = query.NewPredicate(s.sch.NumAttrs())
+	if pred != nil && pred.Unsatisfiable() {
+		return nil, nil
 	}
-	var out []core.GroupEstimate
+	var q *query.Predicate
+	if pred == nil {
+		q = query.NewPredicate(s.sch.NumAttrs())
+	} else {
+		q = pred.Clone()
+	}
+	// The other grouped attributes are enumerated odometer-style over the
+	// values their constraint in pred admits; each combination overwrites
+	// their constraints in the one scratch predicate q.
+	type axis struct {
+		pos, attr int
+		values    []int
+	}
+	var axes []axis
+	for i, a := range groupAttrs {
+		if i == wide {
+			continue
+		}
+		ax := axis{pos: i, attr: a}
+		cons := q.Constraint(a)
+		for v := 0; v < s.sch.Attr(a).Size(); v++ {
+			if cons.Matches(v) {
+				ax.values = append(ax.values, v)
+			}
+		}
+		if len(ax.values) == 0 {
+			return nil, nil
+		}
+		axes = append(axes, ax)
+	}
+	wideAttr := groupAttrs[wide]
+	perValue := make([]float64, s.sch.Attr(wideAttr).Size())
 	vals := make([]int, len(groupAttrs))
-	var walk func(k int) error
-	walk = func(k int) error {
-		if k == len(groupAttrs) {
-			q := base.Clone()
-			for i, a := range groupAttrs {
-				q.WhereEq(a, vals[i])
-			}
-			est, err := s.EstimateCount(q)
-			if err != nil {
-				return err
-			}
-			if est > 0 {
+	next := make([]int, len(axes))
+	var out []core.GroupEstimate
+	for {
+		for k, ax := range axes {
+			vals[ax.pos] = ax.values[next[k]]
+			q.WhereEq(ax.attr, vals[ax.pos])
+		}
+		s.sys.EvalPerValue(wideAttr, q, perValue)
+		for v, x := range perValue {
+			if est := s.n * x / s.p; est > 0 {
+				vals[wide] = v
 				out = append(out, core.GroupEstimate{
 					Values:   append([]int(nil), vals...),
 					Estimate: est,
 				})
 			}
-			return nil
 		}
-		a := groupAttrs[k]
-		// Only descend into values compatible with any constraint the
-		// predicate already places on the attribute, pruning whole
-		// subtrees (and their Clone allocations) up front.
-		cons := base.Constraint(a)
-		for v := 0; v < s.sch.Attr(a).Size(); v++ {
-			if !cons.Matches(v) {
-				continue
+		k := len(axes) - 1
+		for ; k >= 0; k-- {
+			if next[k]++; next[k] < len(axes[k].values) {
+				break
 			}
-			vals[k] = v
-			if err := walk(k + 1); err != nil {
-				return err
-			}
+			next[k] = 0
 		}
-		return nil
-	}
-	if err := walk(0); err != nil {
-		return nil, err
+		if k < 0 {
+			break
+		}
 	}
 	core.SortGroupEstimates(out)
 	return out, nil
