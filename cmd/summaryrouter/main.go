@@ -9,10 +9,11 @@
 // POST /sync/notify out to the replicas so the fleet converges within one
 // round trip instead of one poll interval.
 //
-// Large POST /query/batch bodies (JSON or binary, -fanout-batch items and
-// up) are dealt round-robin across the healthy nodes, shipped as binary
-// sub-frames, and reassembled in the original item order — positionally
-// and bitwise identical to a single node's answer stream.
+// POST /query/batch bodies (JSON or binary) are decoded on the router
+// and their uncached items shipped as binary sub-frames — dealt
+// round-robin across the healthy nodes from -fanout-batch items up — and
+// reassembled in the original item order, positionally and bitwise
+// identical to a single node's answer stream.
 //
 // Warm reads never leave the router: POST /query, /groupby, and
 // /query/batch answers are cached (-cache entries, -1 disables), keyed by
@@ -65,7 +66,7 @@ func main() {
 		brkThreshold = flag.Int("breaker-threshold", 3, "consecutive failures that open a node's circuit breaker")
 		brkCooldown  = flag.Duration("breaker-cooldown", 2*time.Second, "how long an open breaker sheds traffic before probing the node again")
 		maxBody      = flag.Int64("max-body-bytes", 1<<20, "proxied request body cap in bytes (bodies are buffered for retries)")
-		fanoutBatch  = flag.Int("fanout-batch", 64, "batch size at and above which /query/batch fans out across healthy nodes (-1 forwards every batch whole)")
+		fanoutBatch  = flag.Int("fanout-batch", 64, "batch size at and above which the items a /query/batch sends to the fleet fan out across healthy nodes (-1 sends them to one node)")
 		cacheSize    = flag.Int("cache", 4096, "router read cache size in entries; warm reads are answered without a node round trip, kept fresh by generation fencing (-1 disables)")
 		place        = flag.String("place", "", "comma-separated partitioned placements, dataset=K each: scatter <dataset>/partitioned queries as K per-partition queries across the fleet")
 		drain        = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain budget")

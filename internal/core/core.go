@@ -39,13 +39,8 @@ type Estimator interface {
 }
 
 // GroupEstimate is one row of an approximate (or exact) group-by result.
-type GroupEstimate struct {
-	// Values are the encoded domain values of the grouping attributes,
-	// in the order the attributes were given.
-	Values []int
-	// Estimate is the (estimated) COUNT(*) of the group.
-	Estimate float64
-}
+// It is the batch wire's group type, so answers travel without a copy.
+type GroupEstimate = query.BatchGroup
 
 // GroupKey identifies one group in a group-by result: the packed tuple of
 // encoded values of the grouping attributes, in the order they were given.

@@ -5,23 +5,18 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/query"
 	"repro/internal/server"
 )
 
-// handleBatch proxies POST /query/batch on both wires. Small batches are
-// forwarded whole to one healthy node (with retry). At FanoutBatch items
-// and with more than one healthy node, the batch is dealt round-robin
-// across the healthy nodes, shipped as binary sub-frames, and the answers
-// are gathered back into the original item order — positionally identical
-// to a single-node answer stream, because every item is answered
-// independently by the same estimator bits wherever it lands.
+// handleBatch proxies POST /query/batch on both wires. Every decodable
+// batch goes through serveBatch, with or without a router cache; a
+// malformed, empty or oversized body is forwarded whole so the node's own
+// error surface answers (one place decides what a bad batch looks like).
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	body, ok := rt.readBody(w, r)
 	if !ok {
@@ -36,48 +31,39 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if accept := r.Header.Get("Accept"); accept != "" {
 		binaryResp = strings.Contains(accept, server.BinaryBatchContentType)
 	}
-
-	// Decode just enough to decide whether to fan out; malformed bodies
-	// are forwarded whole so the node's own error surface answers (one
-	// place decides what a malformed batch looks like).
-	var estimator string
-	var version int
-	var items []query.BatchItem
-	decodeOK := true
-	if binaryReq {
-		var err error
-		estimator, version, items, err = query.DecodeBatchAt(bytes.NewReader(body))
-		decodeOK = err == nil
-	} else {
-		var req server.BatchQueryRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			decodeOK = false
-		} else {
-			estimator = req.Estimator
-			version = req.Version
-			items = make([]query.BatchItem, len(req.Queries))
-			for i, q := range req.Queries {
-				items[i] = query.BatchItem{Pred: q.Predicate, GroupBy: q.GroupBy}
-			}
-		}
-	}
-	if v := r.URL.Query().Get("version"); v != "" {
-		// A URL version overrides the body on the node side too; keep the
-		// router's idea in sync for the fan-out frames.
-		decodeOK = false // forward whole; the node resolves the override
-	}
-
-	if decodeOK && rt.cache != nil && version >= 0 &&
-		len(items) > 0 && len(items) <= query.MaxBatchItems {
-		rt.serveBatch(w, r, estimator, version, items, binaryResp)
-		return
-	}
-	ways := rt.healthyCount()
-	if !decodeOK || rt.opts.FanoutBatch < 0 || len(items) < rt.opts.FanoutBatch || ways < 2 {
+	estimator, version, items, ok := decodeBatch(r, body, binaryReq)
+	if !ok || len(items) == 0 || len(items) > query.MaxBatchItems {
 		rt.forward(w, r, body, -1)
 		return
 	}
-	rt.fanOutBatch(w, r, estimator, version, items, ways, binaryResp)
+	rt.serveBatch(w, r, estimator, version, items, binaryResp)
+}
+
+// decodeBatch decodes a batch body on either wire and resolves its
+// snapshot version the way the node does: a ?version=N URL parameter
+// overrides the body, and a non-positive version is live (0). ok is false
+// for a malformed body or URL version.
+func decodeBatch(r *http.Request, body []byte, binaryReq bool) (estimator string, version int, items []query.BatchItem, ok bool) {
+	if binaryReq {
+		var err error
+		if estimator, version, items, err = query.DecodeBatchAt(bytes.NewReader(body)); err != nil {
+			return "", 0, nil, false
+		}
+	} else {
+		var req server.BatchQueryRequest
+		if err := json.Unmarshal(body, &req); err != nil {
+			return "", 0, nil, false
+		}
+		estimator, version, items = req.Estimator, req.Version, req.Items()
+	}
+	v, ok := urlVersion(r)
+	if !ok {
+		return "", 0, nil, false
+	}
+	if v >= 0 {
+		version = v
+	}
+	return estimator, max(version, 0), items, true
 }
 
 // serveBatch answers a decoded batch from the router cache where it can
@@ -85,25 +71,27 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 // never leaves the router, a partial hit ships a sub-batch holding just
 // the misses (fanned out across healthy nodes past the FanoutBatch
 // threshold), and the fetched answers are reassembled positionally and
-// cached under the same generation fencing as single reads. Per-item
-// errors (arity mismatch, estimator refusal) ride along uncached, exactly
-// as a node reports them.
+// cached under the same generation fencing as single reads. Without a
+// router cache every item is a miss. Per-item errors (arity mismatch,
+// estimator refusal) ride along uncached, exactly as a node reports them.
 func (rt *Router) serveBatch(w http.ResponseWriter, r *http.Request, estimator string, version int, items []query.BatchItem, binaryResp bool) {
 	answers := make([]query.BatchAnswer, len(items))
-	keys := make([]string, len(items))
+	var keys []string
 	var missIdx []int
-	genCur, genOK := rt.gens.current(estimator)
+	var genCur uint64
+	var genOK bool
+	if rt.cache != nil {
+		keys = make([]string, len(items))
+		genCur, genOK = rt.gens.current(estimator)
+	}
 	for i, it := range items {
-		kind := "c"
-		if len(it.GroupBy) > 0 {
-			kind = "g"
-		}
-		keys[i] = routerQueryKey(estimator, version, kind, it.Pred, it.GroupBy)
-		if v, ok := rt.cache.Get(keys[i]); ok {
-			e := v.(cachedRead)
-			if version > 0 || (genOK && e.gen == genCur) {
-				answers[i] = e.toBatchAnswer()
-				continue
+		if rt.cache != nil {
+			keys[i] = routerQueryKey(estimator, version, len(it.GroupBy) > 0, it.Pred, it.GroupBy)
+			if v, ok := rt.cache.Get(keys[i]); ok {
+				if e := v.(cachedRead); version > 0 || (genOK && e.gen == genCur) {
+					answers[i] = e.toBatchAnswer()
+					continue
+				}
 			}
 		}
 		missIdx = append(missIdx, i)
@@ -119,34 +107,24 @@ func (rt *Router) serveBatch(w http.ResponseWriter, r *http.Request, estimator s
 		for j, idx := range missIdx {
 			a := got[j]
 			answers[idx] = a
-			if a.Error != "" {
+			if rt.cache == nil || a.Error != "" {
 				continue
 			}
+			e := cachedRead{estimator: estimator, version: version, isGroup: a.IsGroup, count: a.Count, groups: a.Groups}
 			switch {
 			case version > 0:
-				rt.cache.Put(keys[idx], batchEntry(a, 0, estimator, version))
+				rt.cache.Put(keys[idx], e)
 			case gens[j] == 0:
 				// The node did not vouch for a live generation.
 			case rt.gens.observe(estimator, gens[j]):
-				rt.cache.Put(keys[idx], batchEntry(a, gens[j], estimator, 0))
+				e.gen = gens[j]
+				rt.cache.Put(keys[idx], e)
 			default:
 				rt.staleSkips.Add(1)
 			}
 		}
 	}
 	writeBatchAnswers(w, estimator, version, answers, binaryResp)
-}
-
-// batchEntry converts one fetched batch answer into a cache entry.
-func batchEntry(a query.BatchAnswer, gen uint64, estimator string, version int) cachedRead {
-	e := cachedRead{gen: gen, estimator: estimator, version: version, isGroup: a.IsGroup, count: a.Count}
-	if a.IsGroup {
-		e.groups = make([]server.GroupRow, len(a.Groups))
-		for i, g := range a.Groups {
-			e.groups[i] = server.GroupRow{Values: g.Values, Estimate: g.Estimate}
-		}
-	}
-	return e
 }
 
 // fetchMisses fetches the given items from the fleet on the binary wire,
@@ -165,57 +143,35 @@ func (rt *Router) fetchMisses(ctx context.Context, estimator string, version int
 	assign := query.AssignRoundRobin(len(items), ways)
 	parts := make([][]query.BatchAnswer, len(assign))
 	partGens := make([]uint64, len(assign))
-	errs := make([]*routeError, len(assign))
 	header := http.Header{
 		"Content-Type": []string{server.BinaryBatchContentType},
 		"Accept":       []string{server.BinaryBatchContentType},
 	}
-	var wg sync.WaitGroup
-	for wi, indexes := range assign {
-		wg.Add(1)
-		go func(wi int, indexes []int) {
-			defer wg.Done()
-			frame, err := query.AppendBatchAt(nil, estimator, version, query.Pick(items, indexes))
-			if err != nil {
-				errs[wi] = &routeError{status: http.StatusBadGateway, msg: err.Error()}
-				return
-			}
-			resp, _, herr := rt.roundTrip(ctx, http.MethodPost, "/query/batch", header, frame, -1)
-			if herr != nil {
-				errs[wi] = herr
-				return
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				b, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-				msg := strings.TrimSpace(string(b))
-				var e struct {
-					Error string `json:"error"`
-				}
-				if json.Unmarshal(b, &e) == nil && e.Error != "" {
-					msg = e.Error
-				}
-				errs[wi] = &routeError{status: resp.StatusCode, msg: msg}
-				return
-			}
-			if raw := resp.Header.Get(server.EstimatorGenerationHeader); raw != "" {
-				if g, perr := strconv.ParseUint(raw, 10, 64); perr == nil {
-					partGens[wi] = g
-				}
-			}
-			_, answers, err := query.DecodeAnswers(resp.Body)
-			if err != nil {
-				errs[wi] = &routeError{status: http.StatusBadGateway, msg: fmt.Sprintf("sub-batch %d: %v", wi, err)}
-				return
-			}
-			parts[wi] = answers
-		}(wi, indexes)
-	}
-	wg.Wait()
-	for _, herr := range errs {
-		if herr != nil {
-			return nil, nil, herr
+	herr := parallel(len(assign), func(wi int) *routeError {
+		frame, err := query.AppendBatchAt(nil, estimator, version, query.Pick(items, assign[wi]))
+		if err != nil {
+			return &routeError{status: http.StatusBadGateway, msg: err.Error()}
 		}
+		resp, _, herr := rt.roundTrip(ctx, http.MethodPost, "/query/batch", header, frame, -1)
+		if herr != nil {
+			return herr
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			return nodeError(resp)
+		}
+		if raw := resp.Header.Get(server.EstimatorGenerationHeader); raw != "" {
+			if g, perr := strconv.ParseUint(raw, 10, 64); perr == nil {
+				partGens[wi] = g
+			}
+		}
+		if _, parts[wi], err = query.DecodeAnswers(resp.Body); err != nil {
+			return &routeError{status: http.StatusBadGateway, msg: fmt.Sprintf("sub-batch %d: %v", wi, err)}
+		}
+		return nil
+	})
+	if herr != nil {
+		return nil, nil, herr
 	}
 	answers, err := query.GatherAnswers(len(items), assign, parts)
 	if err != nil {
@@ -228,62 +184,6 @@ func (rt *Router) fetchMisses(ctx context.Context, estimator string, version int
 		}
 	}
 	return answers, gens, nil
-}
-
-// fanOutBatch scatters the items across ways sub-batches, ships each as a
-// binary frame (the compact wire between router and nodes regardless of
-// the client's wire), and reassembles the answers in original order.
-func (rt *Router) fanOutBatch(w http.ResponseWriter, r *http.Request, estimator string, version int, items []query.BatchItem, ways int, binaryResp bool) {
-	rt.fannedOut.Add(1)
-	assign := query.AssignRoundRobin(len(items), ways)
-	parts := make([][]query.BatchAnswer, len(assign))
-	errs := make([]error, len(assign))
-	header := http.Header{
-		"Content-Type": []string{server.BinaryBatchContentType},
-		"Accept":       []string{server.BinaryBatchContentType},
-	}
-	var wg sync.WaitGroup
-	for wi, indexes := range assign {
-		wg.Add(1)
-		go func(wi int, indexes []int) {
-			defer wg.Done()
-			frame, err := query.AppendBatchAt(nil, estimator, version, query.Pick(items, indexes))
-			if err != nil {
-				errs[wi] = err
-				return
-			}
-			resp, _, herr := rt.roundTrip(r.Context(), http.MethodPost, "/query/batch", header, frame, -1)
-			if herr != nil {
-				errs[wi] = fmt.Errorf("%s", herr.msg)
-				return
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				b, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-				errs[wi] = fmt.Errorf("sub-batch %d: node answered %d: %s", wi, resp.StatusCode, strings.TrimSpace(string(b)))
-				return
-			}
-			_, answers, err := query.DecodeAnswers(resp.Body)
-			if err != nil {
-				errs[wi] = fmt.Errorf("sub-batch %d: %v", wi, err)
-				return
-			}
-			parts[wi] = answers
-		}(wi, indexes)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			writeError(w, http.StatusBadGateway, err.Error())
-			return
-		}
-	}
-	answers, err := query.GatherAnswers(len(items), assign, parts)
-	if err != nil {
-		writeError(w, http.StatusBadGateway, err.Error())
-		return
-	}
-	writeBatchAnswers(w, estimator, version, answers, binaryResp)
 }
 
 // writeBatchAnswers emits a gathered answer stream on the client's wire,
@@ -299,17 +199,6 @@ func writeBatchAnswers(w http.ResponseWriter, estimator string, version int, ans
 		_, _ = w.Write(frame)
 		return
 	}
-	out := server.BatchQueryResponse{Estimator: estimator, Version: version, Answers: make([]server.BatchResult, len(answers))}
-	for i, a := range answers {
-		res := server.BatchResult{Count: a.Count, IsGroup: a.IsGroup, Cached: a.Cached, Error: a.Error}
-		if a.IsGroup {
-			res.Groups = make([]server.GroupRow, len(a.Groups))
-			for j, g := range a.Groups {
-				res.Groups[j] = server.GroupRow{Values: g.Values, Estimate: g.Estimate}
-			}
-		}
-		out.Answers[i] = res
-	}
 	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(out)
+	_ = json.NewEncoder(w).Encode(server.BatchQueryResponse{Estimator: estimator, Version: version, Answers: server.BatchResults(answers)})
 }

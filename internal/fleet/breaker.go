@@ -71,6 +71,15 @@ func (b *breaker) Allow() bool {
 	}
 }
 
+// ready reports whether Allow would admit a request now, without the
+// open → half-open transition, so a picker ranking candidates does not
+// spend the single probe on a node it then passes over.
+func (b *breaker) ready() bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.state == BreakerClosed || (b.state == BreakerOpen && b.now().Sub(b.openedAt) >= b.cooldown)
+}
+
 // Success records a served request, closing the breaker.
 func (b *breaker) Success() {
 	b.mu.Lock()

@@ -68,3 +68,40 @@ func TestBreakerSuccessResetsStreak(t *testing.T) {
 		t.Fatalf("state %v opens %d after alternating outcomes, want closed/0", st, opens)
 	}
 }
+
+// TestPickSpendsProbeOnlyOnChosenNode pins that ranking candidates does
+// not consume a half-open breaker's single probe: a cooled-down node the
+// picker passes over stays open (probe still available) instead of being
+// stuck half-open with no probe ever sent.
+func TestPickSpendsProbeOnlyOnChosenNode(t *testing.T) {
+	now := time.Unix(0, 0)
+	rt, err := NewRouter([]NodeConfig{{URL: "http://a"}, {URL: "http://b"}, {URL: "http://c"}},
+		Options{BreakerThreshold: 1, BreakerCooldown: time.Second, Now: func() time.Time { return now }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sick := rt.nodes[1]
+	sick.breaker.Failure()
+	now = now.Add(2 * time.Second)
+
+	probed := false
+	for i := 0; i < 3*len(rt.nodes); i++ {
+		n := rt.pick(map[*node]bool{}, -1)
+		st, _ := sick.breaker.State()
+		switch {
+		case n == sick:
+			if probed {
+				t.Fatal("picked the half-open node again while its probe is in flight")
+			}
+			if st != BreakerHalfOpen {
+				t.Fatalf("probe sent with the breaker %v", st)
+			}
+			probed = true
+		case !probed && st != BreakerOpen:
+			t.Fatalf("passing over the cooled-down node left its breaker %v", st)
+		}
+	}
+	if !probed {
+		t.Fatal("the cooled-down node never got its probe")
+	}
+}

@@ -28,7 +28,7 @@ const RouterCacheHeader = "X-Router-Cache"
 //
 // A nil predicate is the match-all read; its slot holds "-" so it can
 // never collide with a real canonical key (which always starts with '#').
-func routerQueryKey(estimator string, version int, kind string, pred *query.Predicate, groupBy []int) string {
+func routerQueryKey(estimator string, version int, isGroup bool, pred *query.Predicate, groupBy []int) string {
 	var b strings.Builder
 	b.Grow(len(estimator) + 24)
 	b.WriteString(estimator)
@@ -39,7 +39,11 @@ func routerQueryKey(estimator string, version int, kind string, pred *query.Pred
 		b.WriteString("\x00l")
 	}
 	b.WriteByte(0)
-	b.WriteString(kind)
+	if isGroup {
+		b.WriteByte('g')
+	} else {
+		b.WriteByte('c')
+	}
 	for _, a := range groupBy {
 		b.WriteByte(',')
 		b.WriteString(strconv.Itoa(a))
@@ -68,16 +72,7 @@ type cachedRead struct {
 
 // toBatchAnswer converts a stored read into the batch wire shape.
 func (e cachedRead) toBatchAnswer() query.BatchAnswer {
-	a := query.BatchAnswer{Cached: true, IsGroup: e.isGroup}
-	if e.isGroup {
-		a.Groups = make([]query.BatchGroup, len(e.groups))
-		for i, g := range e.groups {
-			a.Groups[i] = query.BatchGroup{Values: g.Values, Estimate: g.Estimate}
-		}
-	} else {
-		a.Count = e.count
-	}
-	return a
+	return query.BatchAnswer{Cached: true, IsGroup: e.isGroup, Count: e.count, Groups: e.groups}
 }
 
 // genState is one estimator's generation bookkeeping: gen is the highest
@@ -242,66 +237,67 @@ func (g *flightGroup) leave(key string, fl *flight, entry cachedRead, ok bool) {
 
 // --- the router's cached read path ------------------------------------
 
-// readRequest is one parsed single-read (/query or /groupby POST) the
-// router may answer from its cache.
+// readRequest is one parsed single read (/query or /groupby POST).
 type readRequest struct {
 	estimator string
 	version   int // resolved snapshot version (0 = live)
 	isGroup   bool
-	key       string
+	pred      *query.Predicate
+	groupBy   []int
+	key       string // the cache key, set by serveRead
+	// parts is the partition count of a live read of a placed
+	// partitioned estimator, which the router scatters (0 = not placed).
+	parts int
 }
 
-// parseRead decodes a /query or /groupby request into its cache identity.
-// ok is false whenever the read is not cacheable — cache disabled, not a
-// POST, malformed body or URL version (the node's error surface answers),
-// or no estimator named — and the caller falls back to a plain forward.
-func (rt *Router) parseRead(r *http.Request, body []byte, isGroup bool) (readRequest, bool) {
-	if rt.cache == nil || r.Method != http.MethodPost {
+// parseRead decodes a /query or /groupby request body once. ok is false when the router should just
+// forward — not a POST, malformed body or URL version (the node's error
+// surface answers), or no estimator named.
+func (rt *Router) parseRead(r *http.Request, body []byte) (readRequest, bool) {
+	if r.Method != http.MethodPost {
 		return readRequest{}, false
 	}
-	version := -1 // unset; the body's version applies
-	if raw := r.URL.Query().Get("version"); raw != "" {
-		v, err := strconv.Atoi(raw)
-		if err != nil || v < 0 {
-			return readRequest{}, false
-		}
-		version = v
-	}
-	req := readRequest{isGroup: isGroup}
-	var pred *query.Predicate
-	var groupBy []int
-	if isGroup {
-		var gr server.GroupByRequest
+	req := readRequest{isGroup: r.URL.Path == "/groupby"}
+	var gr server.GroupByRequest
+	if req.isGroup {
 		if err := json.Unmarshal(body, &gr); err != nil {
 			return readRequest{}, false
-		}
-		req.estimator, pred, groupBy = gr.Estimator, gr.Predicate, gr.GroupBy
-		if version < 0 {
-			version = gr.Version
 		}
 	} else {
 		var qr server.QueryRequest
 		if err := json.Unmarshal(body, &qr); err != nil {
 			return readRequest{}, false
 		}
-		req.estimator, pred = qr.Estimator, qr.Predicate
-		if version < 0 {
-			version = qr.Version
-		}
+		gr = server.GroupByRequest{Estimator: qr.Estimator, Predicate: qr.Predicate, Version: qr.Version}
 	}
-	if version < 0 {
-		version = 0 // the node serves non-positive versions as live
-	}
-	if req.estimator == "" {
+	if gr.Estimator == "" {
 		return readRequest{}, false
 	}
-	req.version = version
-	kind := "c"
-	if isGroup {
-		kind = "g"
+	req.estimator, req.pred, req.groupBy = gr.Estimator, gr.Predicate, gr.GroupBy
+	version, ok := urlVersion(r)
+	if !ok {
+		return readRequest{}, false
 	}
-	req.key = routerQueryKey(req.estimator, version, kind, pred, groupBy)
+	if version < 0 {
+		// No URL override: the body's version applies, and only a live
+		// read is scattered (time travel proxies whole).
+		if version = gr.Version; version <= 0 {
+			req.parts = rt.placement(req.estimator)
+		}
+	}
+	req.version = max(version, 0) // the node serves non-positive versions as live
 	return req, true
+}
+
+// urlVersion parses the optional ?version=N URL parameter: -1 when
+// absent, ok false when malformed (the node's 400 then answers).
+func urlVersion(r *http.Request) (version int, ok bool) {
+	raw := r.URL.Query().Get("version")
+	if raw == "" {
+		return -1, true
+	}
+	v, err := strconv.Atoi(raw)
+	return v, err == nil && v >= 0
 }
 
 // serveRead answers a parsed read from the cache when it can, otherwise
@@ -310,6 +306,7 @@ func (rt *Router) parseRead(r *http.Request, body []byte, isGroup bool) (readReq
 // followers wait and answer from the leader's entry.
 func (rt *Router) serveRead(w http.ResponseWriter, r *http.Request, body []byte, req readRequest) {
 	start := rt.opts.Now()
+	req.key = routerQueryKey(req.estimator, req.version, req.isGroup, req.pred, req.groupBy)
 	if e, ok := rt.cacheLookup(req); ok {
 		writeCachedRead(w, e, rt.opts.Now().Sub(start))
 		return

@@ -47,9 +47,9 @@ type Options struct {
 	// MaxBodyBytes bounds proxied request bodies (default 1 MiB) — the
 	// router buffers bodies so retries can resend them.
 	MaxBodyBytes int64
-	// FanoutBatch is the batch size at and above which /query/batch is
-	// split across healthy nodes instead of forwarded whole (default 64;
-	// < 0 disables fan-out).
+	// FanoutBatch is the item count at and above which the items a
+	// /query/batch sends to the fleet are split across healthy nodes
+	// instead of sent to one (default 64; < 0 disables fan-out).
 	FanoutBatch int
 	// CacheSize bounds the router's read cache in entries (default 4096;
 	// < 0 disables router-side caching). Warm reads are then answered on
@@ -61,7 +61,7 @@ type Options struct {
 	// as K per-partition queries ("<dataset>/partitioned.p<k>") across
 	// the fleet and merged on the router — remotely distributed exactly
 	// like summary.Partitioned distributes locally. Versioned (time
-	// travel) requests bypass placement and proxy whole.
+	// travel) requests bypass placement.
 	Placements map[string]int
 	// Client overrides the HTTP client used for proxying (default: a
 	// dedicated client; the per-attempt timeout comes from Timeout).
@@ -180,8 +180,8 @@ func NewRouter(nodes []NodeConfig, opts Options) (*Router, error) {
 		})
 	}
 	rt.mux = http.NewServeMux()
-	rt.handle("/query", rt.handleQuery)
-	rt.handle("/groupby", rt.handleGroupBy)
+	rt.handle("/query", rt.handleSingleRead)
+	rt.handle("/groupby", rt.handleSingleRead)
 	rt.handle("/query/batch", rt.handleBatch)
 	rt.handle("/estimators", rt.handleRead)
 	rt.handle("/snapshots", rt.handleRead)
@@ -222,7 +222,9 @@ func (rt *Router) Handler() http.Handler {
 // first, least in-flight load first, round-robin rotation breaking ties —
 // and never a node in tried. prefer (>= 0) pins a preferred node to the
 // front when its breaker allows, which placement uses to spread partition
-// owners deterministically.
+// owners deterministically. Only the chosen node's breaker is asked to
+// admit the request, so a half-open probe goes where it is spent; a node
+// whose probe a concurrent request took meanwhile joins tried.
 func (rt *Router) pick(tried map[*node]bool, prefer int) *node {
 	type cand struct {
 		n    *node
@@ -232,12 +234,13 @@ func (rt *Router) pick(tried map[*node]bool, prefer int) *node {
 	rot := int(rt.rr.Add(1))
 	var best *cand
 	for i, n := range rt.nodes {
-		if tried[n] || !n.breaker.Allow() {
+		if tried[n] || !n.breaker.ready() {
 			continue
 		}
 		c := &cand{n: n, load: n.inflight.Load(), pos: (i + rot) % len(rt.nodes)}
 		if prefer >= 0 && i == prefer%len(rt.nodes) {
-			return n
+			best = c
+			break
 		}
 		if best == nil || c.load < best.load || (c.load == best.load && c.pos < best.pos) {
 			best = c
@@ -245,6 +248,10 @@ func (rt *Router) pick(tried map[*node]bool, prefer int) *node {
 	}
 	if best == nil {
 		return nil
+	}
+	if !best.n.breaker.Allow() {
+		tried[best.n] = true
+		return rt.pick(tried, prefer)
 	}
 	return best.n
 }
@@ -438,6 +445,41 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(map[string]string{"error": msg})
+}
+
+// nodeError turns a node's non-200 response into a routeError keeping
+// the node's status and error message.
+func nodeError(resp *http.Response) *routeError {
+	b, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
+	msg := strings.TrimSpace(string(b))
+	var e struct {
+		Error string `json:"error"`
+	}
+	if json.Unmarshal(b, &e) == nil && e.Error != "" {
+		msg = e.Error
+	}
+	return &routeError{status: resp.StatusCode, msg: msg}
+}
+
+// parallel runs fn(0..n-1) concurrently and returns the lowest-index
+// failure, or nil.
+func parallel(n int, fn func(i int) *routeError) *routeError {
+	errs := make([]*routeError, n)
+	var wg sync.WaitGroup
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = fn(i)
+		}(i)
+	}
+	wg.Wait()
+	for _, herr := range errs {
+		if herr != nil {
+			return herr
+		}
+	}
+	return nil
 }
 
 func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
@@ -679,157 +721,85 @@ func (rt *Router) placement(estimator string) int {
 	return rt.opts.Placements[dataset]
 }
 
-// handleQuery proxies /query. A POST against a placed partitioned
-// estimator (live version only) is scattered: the K per-partition counts
-// are fetched across the fleet and summed in partition index order —
-// the exact reduction summary.Partitioned performs locally, so the
-// scattered answer is bit-identical to a single node's.
-func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
+// handleSingleRead proxies the single-read wires, /query and /groupby. The
+// body is decoded once, then the read is scattered (a live read of a
+// placed partitioned estimator), answered through the router cache, or
+// forwarded whole — GET forms, malformed bodies and cache-disabled
+// routers take the plain forward, so the node's own surface answers.
+func (rt *Router) handleSingleRead(w http.ResponseWriter, r *http.Request) {
 	body, ok := rt.readBody(w, r)
 	if !ok {
 		return
 	}
-	if r.Method == http.MethodPost && r.URL.Query().Get("version") == "" {
-		var req server.QueryRequest
-		if err := json.Unmarshal(body, &req); err == nil && req.Version <= 0 {
-			if k := rt.placement(req.Estimator); k > 0 {
-				rt.scatterQuery(w, r, req, k)
-				return
-			}
-		}
+	req, ok := rt.parseRead(r, body)
+	switch {
+	case ok && req.parts > 0:
+		rt.scatter(w, r, req)
+	case ok && rt.cache != nil:
+		rt.serveRead(w, r, body, req)
+	default:
+		rt.forward(w, r, body, -1)
 	}
-	if read, ok := rt.parseRead(r, body, false); ok {
-		rt.serveRead(w, r, body, read)
-		return
-	}
-	rt.forward(w, r, body, -1)
 }
 
-func (rt *Router) handleGroupBy(w http.ResponseWriter, r *http.Request) {
-	body, ok := rt.readBody(w, r)
-	if !ok {
-		return
-	}
-	if r.Method == http.MethodPost && r.URL.Query().Get("version") == "" {
-		var req server.GroupByRequest
-		if err := json.Unmarshal(body, &req); err == nil && req.Version <= 0 {
-			if k := rt.placement(req.Estimator); k > 0 {
-				rt.scatterGroupBy(w, r, req, k)
-				return
-			}
-		}
-	}
-	if read, ok := rt.parseRead(r, body, true); ok {
-		rt.serveRead(w, r, body, read)
-		return
-	}
-	rt.forward(w, r, body, -1)
-}
-
-// scatterPartition runs one JSON sub-request per partition concurrently,
-// each owner-pinned to node k mod N with failover to any healthy node,
-// and hands the decoded bodies back in partition index order.
-func (rt *Router) scatterPartition(ctx context.Context, k int, build func(part int) ([]byte, string)) ([][]byte, *routeError) {
+// scatter answers a live read of a placed partitioned estimator: one
+// sub-read per partition runs concurrently, each owner-pinned to node
+// part mod N with failover to any healthy node, and the partials reduce
+// exactly as summary.Partitioned reduces them locally — counts summed in
+// partition index order (float addition is not associative, so the order
+// IS the contract for bit-identity with local serving), groups merged by
+// core.MergeGroupEstimates.
+func (rt *Router) scatter(w http.ResponseWriter, r *http.Request, req readRequest) {
 	rt.scattered.Add(1)
-	bodies := make([][]byte, k)
-	errs := make([]*routeError, k)
+	dataset := strings.TrimSuffix(req.estimator, "/partitioned")
+	path := "/query"
+	if req.isGroup {
+		path = "/groupby"
+	}
+	type partial struct {
+		Count  float64              `json:"count"`
+		Groups []core.GroupEstimate `json:"groups"`
+	}
+	parts := make([]partial, req.parts)
 	header := http.Header{"Content-Type": []string{"application/json"}}
-	var wg sync.WaitGroup
-	for part := 0; part < k; part++ {
-		wg.Add(1)
-		go func(part int) {
-			defer wg.Done()
-			payload, path := build(part)
-			resp, _, herr := rt.roundTrip(ctx, http.MethodPost, path, header, payload, part)
-			if herr != nil {
-				errs[part] = herr
-				return
-			}
-			defer resp.Body.Close()
-			b, err := io.ReadAll(io.LimitReader(resp.Body, rt.opts.MaxBodyBytes))
-			if err != nil {
-				errs[part] = &routeError{status: http.StatusBadGateway, msg: err.Error()}
-				return
-			}
-			if resp.StatusCode != http.StatusOK {
-				var e struct {
-					Error string `json:"error"`
-				}
-				_ = json.Unmarshal(b, &e)
-				errs[part] = &routeError{status: resp.StatusCode, msg: fmt.Sprintf("partition %d: %s", part, e.Error)}
-				return
-			}
-			bodies[part] = b
-		}(part)
-	}
-	wg.Wait()
-	for _, herr := range errs {
+	herr := parallel(len(parts), func(part int) *routeError {
+		name := server.PartitionEntryName(dataset, part)
+		var sub interface{} = server.QueryRequest{Estimator: name, Predicate: req.pred}
+		if req.isGroup {
+			sub = server.GroupByRequest{Estimator: name, Predicate: req.pred, GroupBy: req.groupBy}
+		}
+		payload, _ := json.Marshal(sub)
+		resp, _, herr := rt.roundTrip(r.Context(), http.MethodPost, path, header, payload, part)
 		if herr != nil {
-			return nil, herr
+			return herr
 		}
-	}
-	return bodies, nil
-}
-
-func (rt *Router) scatterQuery(w http.ResponseWriter, r *http.Request, req server.QueryRequest, k int) {
-	dataset := strings.TrimSuffix(req.Estimator, "/partitioned")
-	bodies, herr := rt.scatterPartition(r.Context(), k, func(part int) ([]byte, string) {
-		sub := server.QueryRequest{Estimator: server.PartitionEntryName(dataset, part), Predicate: req.Predicate}
-		payload, _ := json.Marshal(sub)
-		return payload, "/query"
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			herr := nodeError(resp)
+			herr.msg = fmt.Sprintf("partition %d: %s", part, herr.msg)
+			return herr
+		}
+		if err := json.NewDecoder(io.LimitReader(resp.Body, rt.opts.MaxBodyBytes)).Decode(&parts[part]); err != nil {
+			return &routeError{status: http.StatusBadGateway, msg: fmt.Sprintf("partition %d: %v", part, err)}
+		}
+		return nil
 	})
 	if herr != nil {
 		writeError(w, herr.status, herr.msg)
 		return
 	}
-	// Sum in partition index order — float addition is not associative,
-	// so the order IS the contract for bit-identity with local serving.
-	total := 0.0
-	for part, b := range bodies {
-		var qr server.QueryResponse
-		if err := json.Unmarshal(b, &qr); err != nil {
-			writeError(w, http.StatusBadGateway, fmt.Sprintf("partition %d: %v", part, err))
-			return
-		}
-		total += qr.Count
-	}
 	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(server.QueryResponse{Estimator: req.Estimator, Count: total})
-}
-
-func (rt *Router) scatterGroupBy(w http.ResponseWriter, r *http.Request, req server.GroupByRequest, k int) {
-	dataset := strings.TrimSuffix(req.Estimator, "/partitioned")
-	bodies, herr := rt.scatterPartition(r.Context(), k, func(part int) ([]byte, string) {
-		sub := server.GroupByRequest{
-			Estimator: server.PartitionEntryName(dataset, part),
-			Predicate: req.Predicate,
-			GroupBy:   req.GroupBy,
+	if !req.isGroup {
+		total := 0.0
+		for _, p := range parts {
+			total += p.Count
 		}
-		payload, _ := json.Marshal(sub)
-		return payload, "/groupby"
-	})
-	if herr != nil {
-		writeError(w, herr.status, herr.msg)
+		_ = json.NewEncoder(w).Encode(server.QueryResponse{Estimator: req.estimator, Count: total})
 		return
 	}
-	partial := make([][]core.GroupEstimate, k)
-	for part, b := range bodies {
-		var gr server.GroupByResponse
-		if err := json.Unmarshal(b, &gr); err != nil {
-			writeError(w, http.StatusBadGateway, fmt.Sprintf("partition %d: %v", part, err))
-			return
-		}
-		groups := make([]core.GroupEstimate, len(gr.Groups))
-		for i, g := range gr.Groups {
-			groups[i] = core.GroupEstimate{Values: g.Values, Estimate: g.Estimate}
-		}
-		partial[part] = groups
+	groups := make([][]core.GroupEstimate, len(parts))
+	for i, p := range parts {
+		groups[i] = p.Groups
 	}
-	merged := core.MergeGroupEstimates(partial...)
-	rows := make([]server.GroupRow, len(merged))
-	for i, g := range merged {
-		rows[i] = server.GroupRow{Values: g.Values, Estimate: g.Estimate}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(server.GroupByResponse{Estimator: req.Estimator, Groups: rows})
+	_ = json.NewEncoder(w).Encode(server.GroupByResponse{Estimator: req.estimator, Groups: core.MergeGroupEstimates(groups...)})
 }

@@ -358,12 +358,6 @@ func (c *Compressed) NumAttrs() int { return len(c.sizes) }
 // DomainSizes returns a copy of [N_1, ..., N_m].
 func (c *Compressed) DomainSizes() []int { return append([]int(nil), c.sizes...) }
 
-// NumMultiStats returns the number of multi-dimensional statistics.
-func (c *Compressed) NumMultiStats() int { return len(c.specs) }
-
-// MultiStat returns the j-th multi-dimensional statistic specification.
-func (c *Compressed) MultiStat(j int) MultiStatSpec { return c.specs[j] }
-
 // NumTerms returns the number of terms of the compressed representation
 // (including the base term).
 func (c *Compressed) NumTerms() int { return len(c.terms) }

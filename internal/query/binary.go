@@ -90,10 +90,15 @@ type BatchItem struct {
 	GroupBy []int
 }
 
-// BatchGroup is one group of a group-by answer.
+// BatchGroup is one group of a group-by answer — the one group row of
+// the repository: core.GroupEstimate and server.GroupRow are aliases of
+// it, so an estimator's groups reach every wire without a copy.
 type BatchGroup struct {
-	Values   []int
-	Estimate float64
+	// Values are the encoded domain values of the grouping attributes,
+	// in the order the attributes were given.
+	Values []int `json:"values"`
+	// Estimate is the (estimated) COUNT(*) of the group.
+	Estimate float64 `json:"estimate"`
 }
 
 // BatchAnswer is the answer to one BatchItem. Exactly one of Count,
@@ -168,18 +173,6 @@ func EncodeBatch(out io.Writer, estimator string, items []BatchItem) error {
 // allocating. dst may be nil.
 func AppendBatch(dst []byte, estimator string, items []BatchItem) ([]byte, error) {
 	return AppendBatchAt(dst, estimator, 0, items)
-}
-
-// EncodeBatchAt is EncodeBatch targeting a specific snapshot version of
-// the estimator's dataset (version > 0); version 0 targets the live
-// estimator and emits a frame bit-identical to EncodeBatch's.
-func EncodeBatchAt(out io.Writer, estimator string, version int, items []BatchItem) error {
-	frame, err := AppendBatchAt(nil, estimator, version, items)
-	if err != nil {
-		return err
-	}
-	_, err = out.Write(frame)
-	return err
 }
 
 // AppendBatchAt is AppendBatch targeting a specific snapshot version of

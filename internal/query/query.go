@@ -51,14 +51,6 @@ func (r Range) Intersect(o Range) Range {
 // Overlaps reports whether the two ranges share at least one value.
 func (r Range) Overlaps(o Range) bool { return !r.Intersect(o).Empty() }
 
-// ContainsRange reports whether o is entirely inside r.
-func (r Range) ContainsRange(o Range) bool {
-	if o.Empty() {
-		return true
-	}
-	return r.Lo <= o.Lo && o.Hi <= r.Hi
-}
-
 // String renders the range as "[lo,hi]".
 func (r Range) String() string {
 	if r.Empty() {
@@ -266,33 +258,4 @@ func (p *Predicate) String() string {
 		parts = append(parts, fmt.Sprintf("A%d∈%s", a, p.constraints[a]))
 	}
 	return strings.Join(parts, " ∧ ")
-}
-
-// Selectivity returns the fraction of the full cross-product tuple space
-// that satisfies the predicate, given the per-attribute domain sizes. It is
-// used by heuristics and tests, not by query answering.
-func (p *Predicate) Selectivity(domainSizes []int) float64 {
-	sel := 1.0
-	for attr, c := range p.constraints {
-		n := domainSizes[attr]
-		if n == 0 {
-			return 0
-		}
-		var count int
-		switch c.Kind {
-		case InRange:
-			r := c.Range.Intersect(NewRange(0, n-1))
-			count = r.Len()
-		case InSet:
-			for _, v := range c.Values {
-				if v >= 0 && v < n {
-					count++
-				}
-			}
-		default:
-			count = n
-		}
-		sel *= float64(count) / float64(n)
-	}
-	return sel
 }

@@ -6,7 +6,6 @@ package schema
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -168,15 +167,6 @@ func (a Attribute) Bin(x float64) (int, error) {
 	return v, nil
 }
 
-// BinCenter returns the midpoint of bucket v of a binned attribute.
-func (a Attribute) BinCenter(v int) float64 {
-	if a.kind != Binned || v < 0 || v >= a.bins {
-		return 0
-	}
-	w := (a.hi - a.lo) / float64(a.bins)
-	return a.lo + (float64(v)+0.5)*w
-}
-
 // Schema is an ordered list of attributes describing a single relation
 // R(A_1, ..., A_m).
 type Schema struct {
@@ -218,9 +208,6 @@ func (s *Schema) NumAttrs() int { return len(s.attrs) }
 // Attr returns the i-th attribute.
 func (s *Schema) Attr(i int) Attribute { return s.attrs[i] }
 
-// Attrs returns a copy of all attributes in order.
-func (s *Schema) Attrs() []Attribute { return append([]Attribute(nil), s.attrs...) }
-
 // Index returns the position of the named attribute.
 func (s *Schema) Index(name string) (int, error) {
 	i, ok := s.byName[name]
@@ -228,15 +215,6 @@ func (s *Schema) Index(name string) (int, error) {
 		return 0, fmt.Errorf("schema: no attribute named %q", name)
 	}
 	return i, nil
-}
-
-// MustIndex is like Index but panics when the attribute does not exist.
-func (s *Schema) MustIndex(name string) int {
-	i, err := s.Index(name)
-	if err != nil {
-		panic(err)
-	}
-	return i
 }
 
 // DomainSizes returns [N_1, ..., N_m].
@@ -262,27 +240,6 @@ func (s *Schema) TupleSpace() int64 {
 	return d
 }
 
-// Project returns a new schema containing only the named attributes, in the
-// given order, together with the index of each kept attribute in the
-// original schema.
-func (s *Schema) Project(names ...string) (*Schema, []int, error) {
-	attrs := make([]Attribute, 0, len(names))
-	idx := make([]int, 0, len(names))
-	for _, name := range names {
-		i, err := s.Index(name)
-		if err != nil {
-			return nil, nil, err
-		}
-		attrs = append(attrs, s.attrs[i])
-		idx = append(idx, i)
-	}
-	proj, err := New(attrs...)
-	if err != nil {
-		return nil, nil, err
-	}
-	return proj, idx, nil
-}
-
 // String renders the schema as "R(a:N1, b:N2, ...)".
 func (s *Schema) String() string {
 	parts := make([]string, len(s.attrs))
@@ -290,15 +247,4 @@ func (s *Schema) String() string {
 		parts[i] = fmt.Sprintf("%s:%d", a.Name(), a.Size())
 	}
 	return "R(" + strings.Join(parts, ", ") + ")"
-}
-
-// SortedNames returns the attribute names in alphabetical order. It is a
-// convenience for deterministic iteration in reports.
-func (s *Schema) SortedNames() []string {
-	names := make([]string, 0, len(s.attrs))
-	for _, a := range s.attrs {
-		names = append(names, a.Name())
-	}
-	sort.Strings(names)
-	return names
 }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -33,6 +32,15 @@ type BatchQueryRequest struct {
 	Queries   []BatchQueryItem `json:"queries"`
 }
 
+// Items converts the JSON queries into batch items.
+func (req BatchQueryRequest) Items() []query.BatchItem {
+	items := make([]query.BatchItem, len(req.Queries))
+	for i, q := range req.Queries {
+		items[i] = query.BatchItem{Pred: q.Predicate, GroupBy: q.GroupBy}
+	}
+	return items
+}
+
 // BatchResult is one answer of a JSON batch response. Exactly one of
 // count/groups/error is meaningful: error for a per-query failure, groups
 // when is_group, count otherwise.
@@ -56,17 +64,13 @@ type BatchQueryResponse struct {
 // handleBatch serves POST /query/batch: N queries answered in one round
 // trip. The request wire is chosen by Content-Type and the response wire
 // by Accept (defaulting to mirror the request); both JSON and the binary
-// frame of internal/query are supported, and they produce bit-identical
-// answers because both paths share queryKey, the cache, and the
-// estimators.
+// frame of internal/query are supported, and both decode into the read
+// pipeline, so their answers are bit-identical.
 //
 // Batch-level problems (malformed body, unknown estimator, empty or
 // oversized batch, admission failure) are HTTP errors; per-query problems
 // (arity mismatch, estimator refusal) land in that answer's error field
-// under a 200, so one bad query cannot void its batchmates. Cache hits are
-// served without touching the worker pool; all misses of a batch are
-// evaluated under a single admission slot — the batch pays one queue wait,
-// not N.
+// under a 200, so one bad query cannot void its batchmates.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	start := s.opts.Now()
 	failed := false
@@ -80,129 +84,38 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	binaryReq := strings.HasPrefix(r.Header.Get("Content-Type"), BinaryBatchContentType)
-	binaryResp := wantBinaryAnswers(r.Header.Get("Accept"), binaryReq)
 	body := &countingReader{r: http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)}
 
-	var estimator string
-	var version int
-	var items []query.BatchItem
+	var req readBatch
 	if binaryReq {
 		var err error
-		estimator, version, items, err = query.DecodeBatchAt(body)
+		req.estimator, req.version, req.items, err = query.DecodeBatchAt(body)
 		if err != nil {
 			fail(badRequest("malformed batch frame: %v", err))
 			return
 		}
 	} else {
-		var req BatchQueryRequest
-		if err := json.NewDecoder(body).Decode(&req); err != nil {
+		var jr BatchQueryRequest
+		if err := json.NewDecoder(body).Decode(&jr); err != nil {
 			fail(badRequest("malformed request body: %v", err))
 			return
 		}
-		estimator = req.Estimator
-		version = req.Version
-		items = make([]query.BatchItem, len(req.Queries))
-		for i, q := range req.Queries {
-			items[i] = query.BatchItem{Pred: q.Predicate, GroupBy: q.GroupBy}
-		}
+		req.estimator, req.version, req.items = jr.Estimator, jr.Version, jr.Items()
 	}
-	if v, herr := urlVersion(r); herr != nil {
-		fail(herr)
-		return
-	} else if v >= 0 {
-		version = v
+	res, herr := s.read(w, r, req)
+	// A batch counts once its estimator resolved, even if evaluating its
+	// misses then fails (503/504).
+	if res.ent.Estimator != nil {
+		s.metrics.RecordBatch(len(req.items), body.n, binaryReq)
 	}
-	if len(items) == 0 {
-		fail(badRequest("batch is empty"))
-		return
-	}
-	if len(items) > s.opts.MaxBatch {
-		fail(badRequest("batch of %d queries exceeds the limit of %d", len(items), s.opts.MaxBatch))
-		return
-	}
-	// Resolve the estimator once: every answer of a batch comes from the
-	// same registry snapshot (name + generation, or name + snapshot
-	// version for a time-travel batch), even if an ingest swaps the
-	// estimator mid-flight.
-	ent, herr := s.lookupEntry(estimator, version)
 	if herr != nil {
 		fail(herr)
 		return
 	}
-	setGenerationHeader(w, ent)
-	s.metrics.RecordBatch(len(items), body.n, binaryReq)
 
-	answers := make([]query.BatchAnswer, len(items))
-	type miss struct {
-		idx int
-		key string
-	}
-	// Sized lazily on the first miss: an all-hit batch (the steady state a
-	// warm cache serves) never allocates the slice at all.
-	var misses []miss
-	for i, it := range items {
-		kind := "c"
-		if len(it.GroupBy) > 0 {
-			kind = "g"
-		}
-		key, err := queryKey(ent, kind, it.Pred, it.GroupBy)
-		if err != nil {
-			answers[i] = query.BatchAnswer{IsGroup: kind == "g", Error: err.Error()}
-			continue
-		}
-		if v, hit := s.cache.Get(key); hit {
-			if kind == "g" {
-				answers[i] = query.BatchAnswer{IsGroup: true, Groups: toBatchGroups(v.([]GroupRow)), Cached: true}
-			} else {
-				answers[i] = query.BatchAnswer{Count: v.(float64), Cached: true}
-			}
-			continue
-		}
-		answers[i].IsGroup = kind == "g"
-		if misses == nil {
-			misses = make([]miss, 0, len(items)-i)
-		}
-		misses = append(misses, miss{idx: i, key: key})
-	}
-
-	if len(misses) > 0 {
-		ctx, cancel := context.WithTimeout(r.Context(), s.opts.Timeout)
-		defer cancel()
-		_, herr := s.execute(ctx, func() (interface{}, error) {
-			for _, m := range misses {
-				it := items[m.idx]
-				if len(it.GroupBy) > 0 {
-					groups, err := ent.Estimator.EstimateGroupBy(it.GroupBy, it.Pred)
-					if err != nil {
-						answers[m.idx].Error = err.Error()
-						continue
-					}
-					rows := toGroupRows(groups)
-					s.cache.Put(m.key, rows)
-					answers[m.idx].Groups = toBatchGroups(rows)
-				} else {
-					count, err := ent.Estimator.EstimateCount(it.Pred)
-					if err != nil {
-						answers[m.idx].Error = err.Error()
-						continue
-					}
-					s.cache.Put(m.key, count)
-					answers[m.idx].Count = count
-				}
-			}
-			return nil, nil
-		})
-		if herr != nil {
-			// 503 (no slot) or 504 (timed out mid-batch): the whole batch
-			// fails — partial answers are not reported.
-			fail(herr)
-			return
-		}
-	}
-
-	if binaryResp {
+	if wantBinaryAnswers(r.Header.Get("Accept"), binaryReq) {
 		rb := respBufPool.Get().(*respBuf)
-		frame, err := query.AppendAnswers(rb.b[:0], ent.Name, answers)
+		frame, err := query.AppendAnswers(rb.b[:0], res.ent.Name, res.answers)
 		if err != nil {
 			respBufPool.Put(rb)
 			fail(&httpError{status: http.StatusInternalServerError, msg: err.Error()})
@@ -217,22 +130,22 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		respBufPool.Put(rb)
 		return
 	}
-	resp := BatchQueryResponse{
-		Estimator: ent.Name,
-		Version:   ent.Snapshot,
-		Answers:   make([]BatchResult, len(answers)),
+	writeJSON(w, http.StatusOK, BatchQueryResponse{
+		Estimator: res.ent.Name,
+		Version:   res.ent.Snapshot,
+		Answers:   BatchResults(res.answers),
 		LatencyNS: s.opts.Now().Sub(start).Nanoseconds(),
-	}
+	})
+}
+
+// BatchResults converts an answer stream into the JSON batch wire's
+// results, sharing the group slices.
+func BatchResults(answers []query.BatchAnswer) []BatchResult {
+	out := make([]BatchResult, len(answers))
 	for i, a := range answers {
-		resp.Answers[i] = BatchResult{
-			Count:   a.Count,
-			Groups:  toGroupRowsFromBatch(a.Groups),
-			IsGroup: a.IsGroup,
-			Cached:  a.Cached,
-			Error:   a.Error,
-		}
+		out[i] = BatchResult{Count: a.Count, Groups: a.Groups, IsGroup: a.IsGroup, Cached: a.Cached, Error: a.Error}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return out
 }
 
 // respBuf wraps the pooled binary-response buffer (a pointer-shaped pool
@@ -266,26 +179,4 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	n, err := c.r.Read(p)
 	c.n += int64(n)
 	return n, err
-}
-
-func toBatchGroups(rows []GroupRow) []query.BatchGroup {
-	if rows == nil {
-		return nil
-	}
-	out := make([]query.BatchGroup, len(rows))
-	for i, g := range rows {
-		out[i] = query.BatchGroup{Values: g.Values, Estimate: g.Estimate}
-	}
-	return out
-}
-
-func toGroupRowsFromBatch(groups []query.BatchGroup) []GroupRow {
-	if groups == nil {
-		return nil
-	}
-	out := make([]GroupRow, len(groups))
-	for i, g := range groups {
-		out[i] = GroupRow{Values: g.Values, Estimate: g.Estimate}
-	}
-	return out
 }

@@ -99,9 +99,6 @@ func (p *Partitioned) Name() string { return p.name }
 // Schema returns the schema the summaries were built over.
 func (p *Partitioned) Schema() *schema.Schema { return p.sch }
 
-// N returns the total cardinality across all partitions.
-func (p *Partitioned) N() float64 { return p.n }
-
 // NumPartitions returns K.
 func (p *Partitioned) NumPartitions() int { return len(p.parts) }
 
